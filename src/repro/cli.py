@@ -71,11 +71,7 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
         max_history_events=args.budget_events,
         deadline_seconds=args.budget_seconds,
     )
-    return RuntimeConfig(
-        budget=budget,
-        strict=args.strict,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+    return RuntimeConfig(budget=budget, strict=args.strict)
 
 
 _SIZE_UNITS = {"": 1, "K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
@@ -161,8 +157,7 @@ def _print_mining(mining) -> None:
           f"shard(s) / {mining.jobs} job(s) in {mining.seconds_total:.2f}s "
           f"({mining.programs_per_second:.1f} programs/s)")
     print(f"  analyzed {mining.n_analyzed}, cache hits {mining.n_cached} "
-          f"({hit}), resumed {mining.n_resumed}, "
-          f"quarantined {mining.n_quarantined}")
+          f"({hit}), quarantined {mining.n_quarantined}")
     if mining.n_cache_corrupt:
         print(f"  cache integrity: {mining.n_cache_corrupt} corrupt "
               f"entr{'y' if mining.n_cache_corrupt == 1 else 'ies'} "
@@ -294,10 +289,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     run = learned.run
     if learned.mining is not None:
         _print_mining(learned.mining)
-    if run is not None and (run.n_quarantined or run.n_degraded
-                            or run.n_resumed):
+    if run is not None and (run.n_quarantined or run.n_degraded):
         print(f"corpus execution: {run.n_ok} ok "
-              f"({run.n_degraded} degraded, {run.n_resumed} resumed), "
+              f"({run.n_degraded} degraded), "
               f"{run.n_quarantined} quarantined")
         for kind, count in run.manifest.by_kind().items():
             print(f"  {kind}: {count}")
@@ -692,13 +686,6 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                        help="fail fast on the first per-program failure "
                             "instead of degrading and quarantining "
                             "(budget blow-ups exit with code 3)")
-    learn.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="checkpoint completed programs here; a rerun "
-                            "over the same corpus resumes from the last "
-                            "completed program (with --jobs/--shards the "
-                            "directory is split into per-shard "
-                            "subdirectories, so resume requires the same "
-                            "shard count)")
     learn.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for corpus analysis and "
                             "candidate extraction (default 1 = "
@@ -713,11 +700,10 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
     learn.add_argument("--cache-dir", metavar="DIR",
                        help="incremental analysis cache: re-running "
                             "after editing k corpus files re-analyzes "
-                            "only those k; keyed by content + pipeline "
-                            "config, so it is safe to share across "
-                            "--jobs/--shards settings (unlike "
-                            "--checkpoint-dir, which is positional and "
-                            "per-shard)")
+                            "only those k, and a killed run resumes "
+                            "where it stopped; keyed by content + "
+                            "pipeline config, so it is safe to share "
+                            "across --jobs/--shards settings")
     learn.add_argument("--store-dir", metavar="DIR",
                        help="durable statistics store: journals every "
                             "program's sufficient statistics (CRC-"

@@ -288,11 +288,6 @@ def _analyze_shard(
     partial = ShardPartial.empty(shard_id)
     metrics = partial.metrics[0]
     group = residency_group(fingerprint, shard_id)
-    # an ephemeral spill with residency keeps bundles in worker memory:
-    # writing each one to disk up front is wasted work on the happy
-    # path, so bundles spill lazily (on capacity eviction) and a worker
-    # crash falls back to the healer's re-analysis repair
-    lazy_spill = ephemeral and residency is not None
 
     def absorb(index: int, key: str, bundle: GraphBundle,
                cache_key: Optional[str], fp: Optional[str]) -> None:
@@ -329,14 +324,7 @@ def _analyze_shard(
         if bundle_sink is not None:
             bundle_sink[key] = bundle
         if residency is not None:
-            for _, evicted in residency.publish(group, key, bundle):
-                if lazy_spill and cache is not None:
-                    # a capacity-evicted bundle leaves memory before
-                    # extraction consumed it: demote it to the spill
-                    # cache so the extract phase can still reload it
-                    cache.store_bundle(
-                        program_fingerprint(evicted.program), evicted
-                    )
+            residency.publish(group, key, bundle)
 
     pending: List[Tuple[int, str, Program, Optional[str]]] = []
     for index, key, program in items:
@@ -377,31 +365,21 @@ def _analyze_shard(
             partial.manifest.add(hit.entry)
 
     if pending:
-        runtime = config.runtime
-        if runtime.checkpoint_dir:
-            # one checkpoint subdirectory per shard: workers never
-            # contend on a shared index.json
-            runtime = replace(runtime, checkpoint_dir=str(
-                Path(runtime.checkpoint_dir) / f"shard-{shard_id:04d}"
-            ))
         by_key = {key: (index, fp) for index, key, _, fp in pending}
 
         def sink(outcome, bundle, entry) -> None:
             index, fp = by_key[outcome.key]
             if bundle is not None:
-                if cache is None:
-                    cache_key = None
-                elif lazy_spill:
-                    cache_key = cache.key_of(fp)
-                else:
-                    cache_key = cache.store_bundle(fp, bundle)
+                cache_key = (cache.store_bundle(fp, bundle)
+                             if cache is not None else None)
                 absorb(index, outcome.key, bundle, cache_key, fp)
             elif entry is not None and cache is not None:
                 cache.store_quarantine(fp, entry)
-            if not outcome.resumed:
-                partial.analyzed_keys.append(outcome.key)
+            partial.analyzed_keys.append(outcome.key)
 
-        executor = CorpusExecutor(config.pointsto, config.history, runtime)
+        executor = CorpusExecutor(
+            config.pointsto, config.history, config.runtime
+        )
         report = executor.run(
             [program for _, _, program, _ in pending],
             keys=[key for _, key, _, _ in pending],
@@ -414,7 +392,6 @@ def _analyze_shard(
     metrics.n_programs = len(items)
     metrics.n_analyzed = len(partial.analyzed_keys)
     metrics.n_cached = partial.n_cached
-    metrics.n_resumed = partial.n_resumed
     metrics.n_quarantined = len(partial.manifest)
     metrics.n_cache_corrupt = cache.n_corrupt if cache is not None else 0
     metrics.seconds = time.monotonic() - started
@@ -915,30 +892,17 @@ class MiningEngine:
                     cache_dir, fingerprint, unit_programs, heal_counts,
                     model=model,
                 )
-                payloads = []
-                for sid, refs in extract_tasks:
-                    payload = ExtractTask(
+                payloads = [
+                    (sid, ExtractTask(
                         self.config, cache_dir, fingerprint, sid,
                         tuple(refs),
                         model=None if model_ref is not None else model,
                         model_ref=model_ref,
                         affinity=supervisor.owner_of(sid),
                         resident=resident, chaos=chaos,
-                    )
-                    if (spill is not None and resident
-                            and not supervisor.owner_alive(sid)):
-                        # lazy spill keeps bundles only in the analyse
-                        # owner's memory; if that process died, nothing
-                        # holds them — heal the payload up front (ship
-                        # restored bundles) instead of letting the
-                        # first attempt fail on a vanished entry
-                        healed = healer(
-                            payload,
-                            CacheEntryVanished(list(refs), cache_dir),
-                        )
-                        if healed is not None:
-                            payload = healed
-                    payloads.append((sid, payload))
+                    ))
+                    for sid, refs in extract_tasks
+                ]
                 results = supervisor.run_phase(
                     "extract",
                     payloads,
@@ -1313,9 +1277,8 @@ class MiningEngine:
         bundle is re-stored to the cache (re-pinning is pointless: the
         shipment on the retried payload is the durable copy).
         """
-        runtime = replace(self.config.runtime, checkpoint_dir=None)
         executor = CorpusExecutor(
-            self.config.pointsto, self.config.history, runtime
+            self.config.pointsto, self.config.history, self.config.runtime
         )
         holder: Dict[str, GraphBundle] = {}
 
@@ -1430,7 +1393,6 @@ class MiningEngine:
             n_programs=merged.n_programs,
             n_analyzed=merged.n_analyzed,
             n_cached=merged.n_cached,
-            n_resumed=merged.n_resumed,
             n_quarantined=len(merged.manifest),
             n_events=total("n_events"),
             n_edges=total("n_edges"),

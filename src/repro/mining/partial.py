@@ -46,7 +46,6 @@ class ShardMetrics:
     n_programs: int = 0
     n_analyzed: int = 0  # computed fresh this run
     n_cached: int = 0  # satisfied from the analysis cache
-    n_resumed: int = 0  # satisfied from a checkpoint
     n_from_store: int = 0  # satisfied from the statistics store
     n_quarantined: int = 0
     n_cache_corrupt: int = 0  # corrupt cache entries deleted + re-analysed
@@ -64,7 +63,6 @@ class ShardMetrics:
             "n_programs": self.n_programs,
             "n_analyzed": self.n_analyzed,
             "n_cached": self.n_cached,
-            "n_resumed": self.n_resumed,
             "n_from_store": self.n_from_store,
             "n_quarantined": self.n_quarantined,
             "n_cache_corrupt": self.n_cache_corrupt,
@@ -85,7 +83,7 @@ class ShardPartial:
     manifest: QuarantineManifest = field(default_factory=QuarantineManifest)
     stats: SufficientStats = field(default_factory=SufficientStats)
     bundle_refs: List[BundleRef] = field(default_factory=list)
-    #: keys actually *computed* this run (neither cached nor resumed)
+    #: keys actually *computed* this run (not served from the cache)
     analyzed_keys: List[str] = field(default_factory=list)
     #: program key → (n_events, n_edges) — the per-program graph sizes
     #: the statistics store persists alongside each program's samples
@@ -134,10 +132,9 @@ class ShardPartial:
                 by_id[m.shard_id] = m
                 continue
             for attr in ("n_programs", "n_analyzed", "n_cached",
-                         "n_resumed", "n_from_store", "n_quarantined",
-                         "n_cache_corrupt", "n_events",
-                         "n_edges", "n_samples", "n_sample_hits",
-                         "seconds"):
+                         "n_from_store", "n_quarantined",
+                         "n_cache_corrupt", "n_events", "n_edges",
+                         "n_samples", "n_sample_hits", "seconds"):
                 setattr(agg, attr, getattr(agg, attr) + getattr(m, attr))
         self.metrics = list(by_id.values())
         self.metrics.sort(key=lambda m: m.shard_id)
@@ -161,10 +158,6 @@ class ShardPartial:
     def n_cached(self) -> int:
         return sum(1 for o in self.outcomes if o.cached)
 
-    @property
-    def n_resumed(self) -> int:
-        return sum(1 for o in self.outcomes if o.resumed)
-
     def __repr__(self) -> str:
         return (
             f"<ShardPartial {len(self.metrics)} shards, "
@@ -183,7 +176,6 @@ class MiningReport:
     n_programs: int
     n_analyzed: int
     n_cached: int
-    n_resumed: int
     n_quarantined: int
     n_events: int
     n_edges: int
@@ -273,7 +265,6 @@ class MiningReport:
             "n_programs": self.n_programs,
             "n_analyzed": self.n_analyzed,
             "n_cached": self.n_cached,
-            "n_resumed": self.n_resumed,
             "n_quarantined": self.n_quarantined,
             "n_events": self.n_events,
             "n_edges": self.n_edges,

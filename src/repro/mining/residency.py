@@ -72,26 +72,16 @@ class BundleResidency:
         self.n_published = 0
         self.n_dropped = 0  # capacity overflow, not discard()
 
-    def publish(
-        self, group: str, key: str, bundle: GraphBundle
-    ) -> List[Tuple[Tuple[str, str], GraphBundle]]:
-        """Record one analysed bundle (idempotent per (group, key)).
-
-        Returns the ``((group, key), bundle)`` entries evicted to stay
-        under capacity (oldest first, usually empty) so the caller can
-        demote them somewhere colder — the mining worker writes them to
-        its spill cache so the extract phase can still reload them.
-        """
+    def publish(self, group: str, key: str, bundle: GraphBundle) -> None:
+        """Record one analysed bundle (idempotent per (group, key))."""
         slot = (group, key)
         self._bundles.pop(slot, None)
         self._bundles[slot] = bundle
         self.n_published += 1
-        dropped: List[Tuple[Tuple[str, str], GraphBundle]] = []
         while (self.max_bundles is not None
                and len(self._bundles) > self.max_bundles):
-            dropped.append(self._bundles.popitem(last=False))
+            self._bundles.popitem(last=False)
             self.n_dropped += 1
-        return dropped
 
     def get(self, group: str, key: str) -> Optional[GraphBundle]:
         return self._bundles.get((group, key))

@@ -579,12 +579,6 @@ class TaskScheduler:
         """The label of the worker that analysed ``shard_id``, if any."""
         return self._owners.get(shard_id)
 
-    def owner_alive(self, shard_id: int) -> bool:
-        """Whether ``shard_id``'s analyse owner can still serve its
-        residency.  Dispatchers that cannot tell report True — a wrong
-        answer only costs a vanished-entry retry through the healer."""
-        return self.owner_of(shard_id) is not None
-
     def _select_task(
         self,
         queue: List[_Task],
@@ -787,18 +781,6 @@ class ShardSupervisor(TaskScheduler):
     def _ensure_pool(self) -> None:
         while len(self._workers) < self.jobs:
             self._workers.append(self._spawn_worker(len(self._workers)))
-
-    def owner_alive(self, shard_id: int) -> bool:
-        """Whether the analysing generation of ``shard_id`` still runs.
-
-        A respawned slot carries a new generation label, so a shard
-        whose owner died reports False here — its bundles exist in no
-        process's residency any more.
-        """
-        owner = self.owner_of(shard_id)
-        return owner is not None and any(
-            worker.label == owner for worker in self._workers
-        )
 
     def _replace_worker(self, worker: _PoolWorker) -> None:
         """Respawn one slot after its process died or was killed.

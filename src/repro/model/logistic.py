@@ -97,9 +97,6 @@ class SufficientStats:
         return {"packed": packed}
 
     def __setstate__(self, state: Dict) -> None:
-        if "blocks" in state:  # legacy object-list pickles
-            self.blocks = state["blocks"]
-            return
         self.blocks = {}
         for key, (uniq, kid, labels, counts, flat) in \
                 state["packed"].items():
@@ -218,7 +215,7 @@ class LogisticRegression:
         # Sparse state is kept as flat numpy arrays: pickling an array is
         # one buffer copy, where the old list-of-python-numbers form paid
         # tolist() plus a per-element opcode on both ends of every
-        # broadcast.  __setstate__ still accepts the legacy list form.
+        # broadcast.
         nz = np.nonzero(self.weights)[0]
         wv = self.weights[nz]
         if self._grad_sq is None:  # scoring_clone: no optimiser state

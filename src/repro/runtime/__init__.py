@@ -4,12 +4,12 @@ Corpus-scale mining must survive individual-program blow-ups: this
 package provides resource :class:`~repro.runtime.budget.Budget` limits
 enforced inside the solver and history builder, a precision
 degradation ladder, structured quarantine manifests with a typed error
-taxonomy, checkpoint/resume of long runs, and deterministic fault
+taxonomy, crash-safe atomic writes, and deterministic fault
 injection so all of it is testable.
 """
 
 from repro.runtime.budget import Budget, BudgetMeter
-from repro.runtime.checkpoint import CorpusCheckpoint, program_key
+from repro.runtime.checkpoint import program_key
 from repro.runtime.errors import (
     BUDGET_EXCEEDED,
     LOWERING_FAILURE,
@@ -75,7 +75,6 @@ __all__ = [
     "ChaosSpec",
     "CorruptResult",
     "classify_error",
-    "CorpusCheckpoint",
     "CorpusExecutor",
     "CorpusRunReport",
     "DEFAULT_LADDER",

@@ -12,8 +12,6 @@ harness that:
 * quarantines programs that fail every tier into a structured
   :class:`~repro.runtime.manifest.QuarantineManifest` with an error
   taxonomy and the complete tier-attempt trail;
-* optionally checkpoints every completed program so a killed run
-  resumes from where it stopped;
 * consults a :class:`~repro.runtime.faults.FaultPlan` at each stage so
   all of the above is deterministically testable.
 
@@ -33,7 +31,7 @@ from repro.ir.program import Program
 from repro.model.dataset import GraphBundle
 from repro.pointsto.analysis import PointsToOptions, analyze
 from repro.runtime.budget import Budget, Clock
-from repro.runtime.checkpoint import CorpusCheckpoint, program_key
+from repro.runtime.checkpoint import program_key
 from repro.runtime.errors import classify_error
 from repro.runtime.faults import FaultPlan
 from repro.runtime.ladder import DEFAULT_LADDER, LadderTier, TIER_QUARANTINE
@@ -51,14 +49,13 @@ class RuntimeConfig:
     The default policy is containment without budgets: analysis errors
     degrade down the ladder and quarantine instead of raising, but no
     resource limits apply.  Set ``budget`` to bound per-program work,
-    ``strict=True`` to fail fast instead, ``checkpoint_dir`` to make
-    the run resumable, and ``faults`` to inject failures for testing.
+    ``strict=True`` to fail fast instead, and ``faults`` to inject
+    failures for testing.
     """
 
     budget: Budget = Budget()
     ladder: Tuple[LadderTier, ...] = DEFAULT_LADDER
     strict: bool = False
-    checkpoint_dir: Optional[str] = None
     faults: Optional[FaultPlan] = None
 
 
@@ -77,7 +74,6 @@ class ProgramOutcome:
     attempts: List[TierAttempt] = field(default_factory=list)
     tier: str = TIER_QUARANTINE  # tier that succeeded, or "quarantine"
     seconds: float = 0.0
-    resumed: bool = False  # satisfied from a checkpoint, not recomputed
     cached: bool = False  # satisfied from the incremental analysis cache
 
     @property
@@ -111,10 +107,6 @@ class CorpusRunReport:
         return len(self.manifest)
 
     @property
-    def n_resumed(self) -> int:
-        return sum(1 for o in self.outcomes if o.resumed)
-
-    @property
     def n_cached(self) -> int:
         return sum(1 for o in self.outcomes if o.cached)
 
@@ -125,7 +117,7 @@ class CorpusRunReport:
     def __repr__(self) -> str:
         return (
             f"<CorpusRunReport {self.n_ok} ok "
-            f"({self.n_degraded} degraded, {self.n_resumed} resumed), "
+            f"({self.n_degraded} degraded), "
             f"{self.n_quarantined} quarantined>"
         )
 
@@ -163,22 +155,20 @@ class CorpusExecutor:
 
         ``keys`` lets a caller that owns only a *slice* of a corpus (a
         mining shard worker) keep globally consistent program
-        identities: fault plans, checkpoints and merged quarantine
-        manifests then name the same program the same way regardless of
-        which worker processed it.
+        identities: fault plans and merged quarantine manifests then
+        name the same program the same way regardless of which worker
+        processed it.
 
         ``sink(outcome, bundle, entry)`` is invoked after *each* program
         settles (exactly one of ``bundle``/``entry`` is non-None for a
-        success/quarantine; both None only for an unreadable resumed
-        quarantine).  The mining engine uses it to persist results to
-        the analysis cache incrementally, so a run killed mid-shard
-        keeps everything completed before the kill.
+        success/quarantine).  The mining engine uses it to persist
+        results to the analysis cache incrementally, so a run killed
+        mid-shard keeps everything completed before the kill.
 
-        ``before(key)`` fires just before a program is *computed*
-        (never for checkpoint-resumed programs) and runs outside the
-        per-program containment: exceptions it raises — and
-        process-level chaos it performs — abort the whole call.  The
-        mining supervisor uses it to inject worker kills/hangs at a
+        ``before(key)`` fires just before each program is computed and
+        runs outside the per-program containment: exceptions it raises
+        — and process-level chaos it performs — abort the whole call.
+        The mining supervisor uses it to inject worker kills/hangs at a
         chosen program.
         """
         if keys is not None and len(keys) != len(programs):
@@ -186,17 +176,8 @@ class CorpusExecutor:
                 f"{len(keys)} keys for {len(programs)} programs"
             )
         report = CorpusRunReport()
-        checkpoint = (
-            CorpusCheckpoint(self.runtime.checkpoint_dir)
-            if self.runtime.checkpoint_dir
-            else None
-        )
         for index, program in enumerate(programs):
             key = keys[index] if keys is not None else program_key(program, index)
-            if checkpoint is not None and key in checkpoint:
-                if self._resume_program(key, checkpoint, report, sink):
-                    continue
-                # unreadable checkpoint payload: fall through, recompute
             if before is not None:
                 before(key)
             outcome, bundle = self._run_program(program, key)
@@ -204,49 +185,14 @@ class CorpusExecutor:
             entry: Optional[QuarantineEntry] = None
             if bundle is not None:
                 report.bundles.append(bundle)
-                if checkpoint is not None:
-                    checkpoint.store_bundle(key, index, bundle)
             else:
                 entry = self._quarantine_entry(program, outcome)
                 report.manifest.add(entry)
-                if checkpoint is not None:
-                    checkpoint.store_quarantine(key, entry)
             if sink is not None:
                 sink(outcome, bundle, entry)
         return report
 
     # ------------------------------------------------------------------
-
-    def _resume_program(
-        self,
-        key: str,
-        checkpoint: CorpusCheckpoint,
-        report: CorpusRunReport,
-        sink: Optional[ProgramSink] = None,
-    ) -> bool:
-        """Satisfy one program from the checkpoint; False to recompute."""
-        bundle = checkpoint.load_bundle(key)
-        if bundle is not None:
-            report.bundles.append(bundle)
-            outcome = ProgramOutcome(
-                key=key, source=bundle.program.source,
-                tier="checkpoint", resumed=True,
-            )
-            report.outcomes.append(outcome)
-            if sink is not None:
-                sink(outcome, bundle, None)
-            return True
-        entry = checkpoint.load_quarantine(key)
-        if entry is not None:
-            report.manifest.add(entry)
-            outcome = ProgramOutcome(
-                key=key, source=entry.source, resumed=True,
-            )
-            report.outcomes.append(outcome)
-            if sink is not None:
-                sink(outcome, None, entry)
-            return True
-        return False
 
     def _run_program(
         self, program: Program, key: str

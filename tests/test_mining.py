@@ -1,6 +1,6 @@
 """The sharded parallel mining engine: determinism across worker
 counts, the incremental analysis cache, mergeable partials, and
-checkpoint-resume under sharding."""
+kill/resume from the cache under sharding."""
 
 import json
 import os
@@ -301,6 +301,43 @@ def test_cached_quarantine_verdicts_are_reused(tmp_path):
         cold.run.manifest.to_json(timings=False)
 
 
+def test_sequential_prefix_run_resumes_remainder_from_cache(tmp_path):
+    """A run killed midway (simulated by running a prefix) leaves every
+    completed program in the cache; the full run analyses only the
+    rest."""
+    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500))
+    programs = java_corpus(5) + [pathological_program()]
+    prefix = learn(programs[:2], cache_dir=tmp_path / "cache",
+                   runtime=runtime)
+    assert prefix.mining.n_analyzed == 2
+
+    full = learn(programs, cache_dir=tmp_path / "cache", runtime=runtime)
+    assert full.mining.n_cached == 2
+    assert full.mining.n_analyzed == 4
+    assert set(full.mining.analyzed_keys).isdisjoint(
+        prefix.mining.analyzed_keys)
+    assert full.run.n_ok == 5 and full.run.n_quarantined == 1
+    clean = learn(programs, runtime=runtime)
+    assert specs_to_json(full.specs, full.scores) == \
+        specs_to_json(clean.specs, clean.scores)
+
+
+def test_warm_cache_skips_recomputation_under_faults(tmp_path):
+    """Cached programs are loaded, not re-analysed: a fault plan that
+    would crash every program leaves a warm run intact."""
+    programs = java_corpus(4)
+    cold = learn(programs, cache_dir=tmp_path / "cache")
+    poisoned = RuntimeConfig(
+        faults=FaultPlan([FaultSpec(program="", error=SOLVER_CRASH)]),
+    )
+    warm = learn(programs, cache_dir=tmp_path / "cache", runtime=poisoned)
+    assert warm.mining.n_analyzed == 0
+    assert warm.mining.n_cached == 4
+    assert warm.run.n_ok == 4 and warm.run.n_quarantined == 0
+    assert specs_to_json(warm.specs, warm.scores) == \
+        specs_to_json(cold.specs, cold.scores)
+
+
 # ----------------------------------------------------------------------
 # kill/resume × sharding
 
@@ -332,33 +369,6 @@ def test_killed_parallel_run_resumes_without_double_analysis(tmp_path):
     assert len(cached_keys) + len(report.analyzed_keys) == 10
     # the merged run report is complete: every program accounted for
     assert rerun.run.n_ok == 10 and rerun.run.n_quarantined == 0
-
-
-def test_checkpoint_resume_under_sharding(tmp_path):
-    """--checkpoint-dir composes with sharding: per-shard checkpoint
-    subdirectories let a killed run resume with the same shard count."""
-    programs = java_corpus(8)
-    ckpt = tmp_path / "ckpt"
-    victim = programs[-1].source
-    faulty = RuntimeConfig(
-        strict=True, checkpoint_dir=str(ckpt),
-        faults=FaultPlan([FaultSpec(program=victim, error=SOLVER_CRASH)]),
-    )
-    with pytest.raises(Exception, match="injected fault"):
-        learn(programs, jobs=2, shards=3, runtime=faulty)
-
-    checkpointed = set()
-    for index_file in ckpt.glob("shard-*/index.json"):
-        checkpointed |= set(json.loads(index_file.read_text())["entries"])
-    assert 0 < len(checkpointed) < 8
-
-    clean = RuntimeConfig(checkpoint_dir=str(ckpt))
-    rerun = learn(programs, jobs=2, shards=3, runtime=clean)
-    report = rerun.mining
-    assert report.n_resumed == len(checkpointed)
-    assert checkpointed.isdisjoint(report.analyzed_keys)
-    assert report.n_resumed + report.n_analyzed == 8
-    assert rerun.run.n_ok == 8
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The repro.runtime harness: budgets, fault injection, the degradation
-ladder, quarantine manifests, and checkpoint/resume."""
+ladder, quarantine manifests, and resume from the analysis cache."""
 
 import json
 
@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.corpus import CorpusConfig, CorpusGenerator, java_registry
 from repro.events.history import HistoryBuilder, HistoryOptions
 from repro.ir import ProgramBuilder
+from repro.mining import MiningConfig, MiningEngine
 from repro.pointsto import analyze
 from repro.pointsto.analysis import PointsToOptions
 from repro.runtime import (
@@ -31,6 +32,7 @@ from repro.runtime import (
 )
 from repro.specs import USpecPipeline
 from repro.specs.pipeline import PipelineConfig
+from repro.specs.serialize import specs_to_json
 
 
 class FakeClock:
@@ -280,7 +282,7 @@ def test_manifest_rejects_unknown_schema():
 
 
 # ----------------------------------------------------------------------
-# checkpoint/resume
+# resume: the content-addressed analysis cache is the run's checkpoint
 
 
 def corpus_with_one_bad():
@@ -288,63 +290,28 @@ def corpus_with_one_bad():
 
 
 def test_checkpoint_resume_round_trip(tmp_path):
-    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500),
-                            checkpoint_dir=str(tmp_path / "ckpt"))
+    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500))
+    engine = MiningEngine(PipelineConfig(runtime=runtime),
+                          MiningConfig(cache_dir=str(tmp_path / "cache")))
     corpus = corpus_with_one_bad()
-    first = CorpusExecutor(runtime=runtime).run(corpus)
-    assert first.n_ok == 2 and first.n_quarantined == 1
-    assert first.n_resumed == 0
+    first = engine.learn(corpus)
+    assert first.run.n_ok == 2 and first.run.n_quarantined == 1
+    assert first.mining.n_cached == 0
 
-    second = CorpusExecutor(runtime=runtime).run(corpus)
-    assert second.n_resumed == len(corpus)  # nothing recomputed
-    assert second.n_ok == 2 and second.n_quarantined == 1
+    second = engine.learn(corpus)
+    assert second.mining.n_cached == len(corpus)  # nothing recomputed
+    assert second.mining.n_analyzed == 0
+    assert second.run.n_ok == 2 and second.run.n_quarantined == 1
     # quarantine details survive the round trip
-    entry = second.manifest.entries[0]
+    (entry,) = second.run.manifest.entries
     assert entry.error_kind == BUDGET_EXCEEDED
-    assert len(entry.attempts) == 3
+    assert [a.tier for a in entry.attempts] == [
+        TIER_CONTEXT_SENSITIVE, TIER_CONTEXT_INSENSITIVE,
+        TIER_FIELD_INSENSITIVE,
+    ]
     # restored bundles are fully usable downstream
-    model = USpecPipeline().train_model(second.bundles)
-    assert model is not None
-
-
-def test_checkpoint_resume_skips_recomputation(tmp_path):
-    """Resumed programs must be loaded, not re-analysed: a fault plan
-    that would crash everything leaves checkpointed results intact."""
-    ckpt = str(tmp_path / "ckpt")
-    corpus = [small_program("a"), small_program("b")]
-    CorpusExecutor(runtime=RuntimeConfig(checkpoint_dir=ckpt)).run(corpus)
-
-    poisoned = RuntimeConfig(
-        checkpoint_dir=ckpt,
-        faults=FaultPlan([FaultSpec(program="", error=SOLVER_CRASH)]),
-    )
-    report = CorpusExecutor(runtime=poisoned).run(corpus)
-    assert report.n_ok == 2  # all served from the checkpoint
-    assert report.n_resumed == 2
-
-
-def test_checkpoint_partial_run_resumes_remainder(tmp_path):
-    """A run killed midway (simulated by running a prefix) resumes from
-    the last completed program."""
-    ckpt = str(tmp_path / "ckpt")
-    corpus = corpus_with_one_bad()
-    runtime = RuntimeConfig(budget=Budget(max_solver_iterations=500),
-                            checkpoint_dir=ckpt)
-    CorpusExecutor(runtime=runtime).run(corpus[:1])  # "killed" after one
-
-    report = CorpusExecutor(runtime=runtime).run(corpus)
-    assert report.n_resumed == 1
-    assert report.n_ok == 2 and report.n_quarantined == 1
-
-
-def test_checkpoint_survives_corrupt_index(tmp_path):
-    ckpt = tmp_path / "ckpt"
-    runtime = RuntimeConfig(checkpoint_dir=str(ckpt))
-    corpus = [small_program("a")]
-    CorpusExecutor(runtime=runtime).run(corpus)
-    (ckpt / "index.json").write_text("{ not json")
-    report = CorpusExecutor(runtime=runtime).run(corpus)
-    assert report.n_ok == 1 and report.n_resumed == 0  # recomputed
+    assert specs_to_json(second.specs, second.scores) == \
+        specs_to_json(first.specs, first.scores)
 
 
 # ----------------------------------------------------------------------
@@ -394,11 +361,11 @@ def test_cli_clean_run_with_quarantine_manifest(tmp_path):
 
 
 def test_cli_checkpoint_dir_resumes(tmp_path, capsys):
-    ckpt = tmp_path / "ckpt"
+    """A CLI re-run over the same --cache-dir resumes every program."""
     args = ["learn", "--files", "4", "--seed", "7",
-            "--checkpoint-dir", str(ckpt),
+            "--cache-dir", str(tmp_path / "cache"),
             "--out", str(tmp_path / "specs.json")]
     assert main(args) == 0
     capsys.readouterr()
     assert main(args) == 0
-    assert "4 resumed" in capsys.readouterr().out
+    assert "analyzed 0, cache hits 4 (100%)" in capsys.readouterr().out

@@ -359,6 +359,28 @@ def test_batched_specs_byte_identical_to_sequential():
     assert batched.mining.dispatch["n_batches"] >= 1
 
 
+def test_steal_from_live_owner_reloads_from_spill_without_repair():
+    """An extract task taken away from its analyse owner — stolen while
+    the owner is alive but busy, or retried after it died — finds its
+    bundles on disk: the ephemeral spill holds every analysed bundle,
+    so no vanished-entry failure and no healer repair ever happens."""
+    programs = java_corpus(n=12)
+    sequential = learn(programs)
+    # chaos keeps the full 2-worker pool and disables coalescing; the
+    # hung owner stays alive for 2s while the other worker drains the
+    # queue, stealing the owner's pending extract tasks, then dies
+    chaos = [ChaosSpec("corpus_00000", "hang", until_attempt=1,
+                       hang_seconds=2.0, phase="extract")]
+    stolen = learn(programs, jobs=2, shards=8, shard_deadline=60.0,
+                   chaos=chaos)
+    assert specs_text(stolen) == specs_text(sequential)
+    report = stolen.mining
+    assert report.n_affinity_misses > 0
+    assert report.n_cache_repairs == 0
+    assert report.ledger.n_worker_crashes == 1  # only the injected one
+    assert report.ledger.n_worker_errors == 0
+
+
 def test_chaos_disables_coalescing():
     programs = java_corpus(n=8)
     chaos = [ChaosSpec("corpus_00003", "kill", until_attempt=1)]
