@@ -763,11 +763,13 @@ def _add_learn_arguments(learn: argparse.ArgumentParser) -> None:
                             "healthy shards are not killed as hangs; "
                             "--shard-deadline stays as the floor")
     learn.add_argument("--no-residency", action="store_true",
-                       help="disable bundle residency: extract tasks "
-                            "always reload analysed bundles from "
-                            "--cache-dir (or memory) instead of the "
-                            "worker that produced them; specs are "
-                            "byte-identical either way")
+                       help="disable bundle residency in worker "
+                            "pools: extract tasks always reload "
+                            "analysed bundles from the cache instead "
+                            "of the worker that produced them (a "
+                            "--jobs 1 run always extracts from "
+                            "memory); specs are byte-identical "
+                            "either way")
     learn.add_argument("--parallel-train", action="store_true",
                        help="run the training reduce in the worker "
                             "pool (one task per position-key ensemble "

@@ -46,7 +46,10 @@ from repro.dist.protocol import (
     send_frame,
     unpack_payload,
 )
-from repro.mining.residency import process_residency
+from repro.mining.residency import (
+    DEFAULT_RESIDENT_BUNDLES,
+    process_residency,
+)
 from repro.runtime.faults import CorruptResult
 
 #: heartbeats per lease interval — 3 gives two chances to survive one
@@ -260,7 +263,11 @@ def run_worker(
     reclaims the slot immediately instead of waiting out the lease,
     and returns normally.  :func:`install_stop_signals` wires SIGTERM
     to it for the CLI.
+
+    The process's residency registry is bounded for the worker's life:
+    a daemon serves run after run and must not grow without limit.
     """
+    process_residency().max_bundles = DEFAULT_RESIDENT_BUNDLES
     label = name or f"worker-{socket.gethostname()}-{os.getpid()}"
     done = [0]  # shared with _serve so a lost connection keeps the tally
     attempts_left = reconnect_rounds

@@ -12,7 +12,8 @@ map/reduce job:
   LRU-by-mtime size budgeting;
 * :mod:`supervisor` — fault-tolerant shard dispatch over a persistent
   worker pool: watchdogs, bounded retry/backoff, poison-shard
-  bisection, worker-affinity scheduling, failure ledger;
+  bisection, worker-affinity scheduling, failure ledger — and the
+  in-process dispatcher that runs the same tasks for ``--jobs 1``;
 * :mod:`residency` — in-process registry of analysed bundles, so the
   extract phase streams from worker memory instead of re-unpickling
   the cache;
@@ -28,7 +29,7 @@ from repro.mining.cache import (
     pipeline_fingerprint,
     program_fingerprint,
 )
-from repro.mining.engine import MiningConfig, MiningEngine, learn_sharded
+from repro.mining.engine import MiningConfig, MiningEngine
 from repro.mining.partial import MiningReport, ShardMetrics, ShardPartial
 from repro.mining.residency import (
     BundleResidency,
@@ -58,7 +59,6 @@ __all__ = [
     "ShardPlan",
     "ShardSupervisor",
     "SupervisionConfig",
-    "learn_sharded",
     "pack_bundle",
     "pipeline_fingerprint",
     "process_residency",

@@ -12,8 +12,9 @@ map/reduce phases over deterministic corpus shards
    into one canonical set of sufficient statistics; the model trains
    over their key-sorted, seed-shuffled sample stream;
 3. **map: extract** — each shard re-loads its analysed bundles (from
-   memory when sequential, from the cache when parallel) and runs
-   Alg. 1 candidate extraction against the broadcast model;
+   the residency registry of the process that analysed them, else from
+   the cache) and runs Alg. 1 candidate extraction against the
+   broadcast model;
 4. **finalize** — extractions merge, candidates are scored and the τ
    threshold selects the specification set.
 
@@ -23,7 +24,11 @@ by program key, the final specifications and quarantine manifest are
 **byte-identical for any worker count, shard count and completion
 order**.  ``--jobs 4`` is a wall-clock knob, never a results knob.
 
-Parallel runs dispatch shards through the
+Both map phases are one ``run_phase`` call on the run's dispatcher,
+whatever the topology: ``--jobs 1`` runs the same phase tasks in the
+calling process (:class:`~repro.mining.supervisor.InlineDispatcher`),
+a distributed run hands them to a bound coordinator, and parallel or
+supervised runs dispatch them through the
 :class:`~repro.mining.supervisor.ShardSupervisor`: every task attempt
 runs in its own worker process under a wall-clock deadline, dead or
 hung workers trigger bounded retries with exponential backoff, and a
@@ -106,11 +111,13 @@ from repro.mining.residency import (
     pack_bundle,
     process_residency,
     residency_group,
+    slot_key,
     unpack_shipment,
 )
 from repro.mining.sharding import ShardPlan
 from repro.mining.supervisor import (
     FailureLedger,
+    InlineDispatcher,
     ShardSupervisor,
     SupervisionConfig,
 )
@@ -166,8 +173,9 @@ class MiningConfig:
     parallel_train: bool = False
     #: keep analysed bundles resident in the worker that produced them
     #: and route each shard's extract task back to that worker; False
-    #: forces every extract onto the cache-reload path (a debugging and
-    #: benchmarking knob — results are byte-identical either way)
+    #: forces every pool or cluster extract onto the cache-reload path
+    #: (a debugging and benchmarking knob — results are byte-identical
+    #: either way; an in-process run always keeps its bundles resident)
     resident: bool = True
     #: durable statistics store directory (repro.store.StatsStore);
     #: None = no persistence.  When set and no --cache-dir was named,
@@ -266,7 +274,6 @@ def _analyze_shard(
     items: Sequence[Unit],
     cache_dir: Optional[str],
     fingerprint: str,
-    bundle_sink: Optional[Dict[str, GraphBundle]] = None,
     before=None,
     residency: Optional[BundleResidency] = None,
     ephemeral: bool = False,
@@ -275,13 +282,11 @@ def _analyze_shard(
 
     Results are persisted to the cache *per program* (via the executor
     sink), so a run killed mid-shard keeps everything that completed.
-    ``bundle_sink`` (sequential mode) additionally keeps analysed
-    bundles in memory so the extract phase needs no reloads.
     ``before`` is threaded into the executor as its pre-program hook
-    (the supervisor's chaos probe).  ``residency`` (supervised mode)
-    publishes every absorbed bundle — cache hits included, so warm
-    re-runs extract from memory too — into the worker's registry for
-    the shard's affinity-routed extract task.
+    (the supervisor's chaos probe).  ``residency`` publishes every
+    absorbed bundle — cache hits included, so warm re-runs extract
+    from memory too — into this process's registry for the shard's
+    extract task, under its :func:`~repro.mining.residency.slot_key`.
     """
     started = time.monotonic()
     cache = AnalysisCache(cache_dir, fingerprint) if cache_dir else None
@@ -321,10 +326,8 @@ def _analyze_shard(
                 fp, encoded, len(bundle.graph.events),
                 bundle.graph.edge_count,
             )
-        if bundle_sink is not None:
-            bundle_sink[key] = bundle
         if residency is not None:
-            residency.publish(group, key, bundle)
+            residency.publish(group, slot_key(key, cache_key), bundle)
 
     pending: List[Tuple[int, str, Program, Optional[str]]] = []
     for index, key, program in items:
@@ -426,7 +429,6 @@ def _extract_shard(
     model: EventPairModel,
     cache_dir: Optional[str],
     fingerprint: str,
-    bundle_sink: Optional[Dict[str, GraphBundle]] = None,
     residency: Optional[BundleResidency] = None,
     shipped: Optional[Dict[str, GraphBundle]] = None,
     fragment: Tuple[int, ...] = (),
@@ -434,15 +436,15 @@ def _extract_shard(
 ) -> Tuple[int, str, CandidateExtraction]:
     """Run Alg. 1 over one shard's analysed bundles.
 
-    Bundle resolution order per ref: the sequential in-memory sink,
-    healer-shipped bundles attached to the payload, the worker's
-    residency registry, then the cache.  A ref that resolves nowhere
-    is collected (the rest of the refs are still scanned so one repair
-    round restores everything) and raised as
-    :class:`~repro.mining.cache.CacheEntryVanished` for the scheduler's
-    healer.  All four sources yield pickle-round-trip-identical
-    bundles, so the extraction is byte-identical however each ref
-    resolved.
+    Bundle resolution order per ref: healer-shipped bundles attached
+    to the payload, this process's residency registry (looked up by
+    content address, so a stale bundle can never answer), then the
+    cache.  A ref that resolves nowhere is collected (the rest of the
+    refs are still scanned so one repair round restores everything)
+    and raised as :class:`~repro.mining.cache.CacheEntryVanished` for
+    the dispatcher's healer.  All three sources yield
+    pickle-round-trip-identical bundles, so the extraction is
+    byte-identical however each ref resolved.
 
     The return value is tagged ``(shard_id, tag, extraction)`` so the
     engine can merge extractions in the canonical sorted-ref order
@@ -457,11 +459,9 @@ def _extract_shard(
     for key, cache_key in refs:
         if before is not None:
             before(key)
-        bundle = bundle_sink.get(key) if bundle_sink is not None else None
-        if bundle is None and shipped is not None:
-            bundle = shipped.get(key)
+        bundle = shipped.get(key) if shipped is not None else None
         if bundle is None and residency is not None:
-            bundle = residency.get(group, key)
+            bundle = residency.get(group, slot_key(key, cache_key))
         if bundle is None and cache is not None and cache_key is not None:
             bundle = cache.load_bundle_by_key(cache_key)
         if bundle is None:
@@ -478,12 +478,14 @@ def _extract_shard(
         raise CacheEntryVanished(missing, cache_dir)
     if residency is not None:
         # consumed: a long-lived worker must not accumulate bundles
-        residency.discard(group, [key for key, _ in refs])
+        residency.discard(
+            group, [slot_key(key, cache_key) for key, cache_key in refs]
+        )
     return shard_id, _extract_tag(shard_id, refs, fragment), extraction
 
 
 # ----------------------------------------------------------------------
-# supervised runners / splitters / validators (module-level: they cross
+# phase runners / splitters / validators (module-level: they cross
 # the process boundary by pickle under the spawn start method)
 
 
@@ -682,14 +684,15 @@ class MiningEngine:
 
         Returns a :class:`LearnedSpecs` whose ``mining`` field carries
         the :class:`~repro.mining.partial.MiningReport` (cache hit
-        rate, per-shard wall-clock, throughput, failure ledger).
+        rate, per-shard wall-clock, throughput, failure ledger).  Its
+        ``run`` carries outcomes and the manifest but no bundles: they
+        live in the analysing process only for the run's duration.
         """
         t0 = time.monotonic()
         jobs = self.mining.resolve_jobs()
         distributed = self.coordinator is not None
         supervised = self.mining.supervised or distributed
         ledger = FailureLedger() if supervised else None
-        supervisor = None  # the dispatcher: supervisor or coordinator
         if distributed:
             self.coordinator.configure(
                 self.mining.supervision,
@@ -700,7 +703,7 @@ class MiningEngine:
             self.coordinator.wait_for_workers(
                 self.coordinator.dist.min_workers
             )
-            supervisor = self.coordinator
+            dispatcher = self.coordinator
         elif supervised:
             # coalescing floor: pack small shard tasks until one frame
             # carries ~a worker's fair share of the corpus, so dispatch
@@ -720,13 +723,15 @@ class MiningEngine:
             pool_jobs = max(1, min(jobs, os.cpu_count() or jobs))
             if self.mining.supervision.chaos is not None:
                 pool_jobs = jobs
-            supervisor = ShardSupervisor(
+            dispatcher = ShardSupervisor(
                 self.mining.resolve_context(), pool_jobs,
                 self.mining.supervision,
                 strict=self.config.runtime.strict,
                 ledger=ledger,
                 batch_programs=batch,
             )
+        else:
+            dispatcher = InlineDispatcher()
         units: List[Unit] = [
             (index, program_key(program, index), program)
             for index, program in enumerate(programs)
@@ -761,11 +766,11 @@ class MiningEngine:
             # a private spill dir keeps them off the result pipes
             spill = tempfile.mkdtemp(prefix="uspec-mining-spill-")
             cache_dir = spill
-        bundle_sink: Optional[Dict[str, GraphBundle]] = \
-            None if supervised else {}
-        #: residency needs worker processes that outlive single tasks —
-        #: the local pool and remote daemons both qualify
-        resident = bool(self.mining.resident) and supervised
+        #: residency needs a process that outlives single tasks: the
+        #: local pool, remote daemons — or this process, for an
+        #: in-process run, which has nowhere else to keep its bundles
+        #: when there is no cache (so --no-residency cannot apply)
+        resident = bool(self.mining.resident) or not supervised
 
         chaos = self.mining.supervision.chaos
         n_evicted = 0
@@ -795,10 +800,9 @@ class MiningEngine:
 
         try:
             # phase 1: map-analyze ------------------------------------
-            if not tasks:
-                partials: List[ShardPartial] = []
-            elif supervisor is not None:
-                partials = supervisor.run_phase(
+            partials: List[ShardPartial] = []
+            if tasks:
+                partials = dispatcher.run_phase(
                     "analyze",
                     [(sid, AnalyzeTask(self.config, cache_dir,
                                        fingerprint, sid, tuple(items),
@@ -810,12 +814,6 @@ class MiningEngine:
                     poisoner=self._poison_analyze(cache_dir, fingerprint),
                     validator=_valid_partial,
                 )
-            else:
-                partials = [
-                    _analyze_shard(self.config, sid, items, cache_dir,
-                                   fingerprint, bundle_sink)
-                    for sid, items in tasks
-                ]
             partials = list(partials) + store_partials
             t1 = time.monotonic()
 
@@ -842,8 +840,8 @@ class MiningEngine:
                 n_evicted += AnalysisCache(
                     budget_dir, fingerprint
                 ).evict_to_budget(self.mining.cache_budget, pinned=pinned)
-            if supervisor is not None and self.mining.parallel_train:
-                model = self._parallel_train(supervisor, merged.stats)
+            if self.mining.parallel_train:
+                model = self._parallel_train(dispatcher, merged.stats)
             else:
                 model = self.pipeline.train_from_stats(merged.stats)
             t2 = time.monotonic()
@@ -864,13 +862,15 @@ class MiningEngine:
             ]
             model_ref: Optional[Tuple[str, str]] = None
             model_broadcast_bytes = 0
-            if supervisor is not None and not distributed and cache_dir:
-                # broadcast the model by reference: one pickle on disk
-                # instead of a copy of the model in every task frame
-                # (remote daemons keep the inline copy — they may not
-                # share a filesystem with the coordinator).  Extraction
-                # only scores, so the broadcast drops the optimiser
-                # state — half the bytes to hash, write and unpickle.
+            if supervised and not distributed and cache_dir:
+                # broadcast the model to the local pool by reference:
+                # one pickle on disk instead of a copy of the model in
+                # every task frame (remote daemons keep the inline copy
+                # — they may not share a filesystem with the
+                # coordinator; an in-process run needs no copy at all).
+                # Extraction only scores, so the broadcast drops the
+                # optimiser state — half the bytes to hash, write and
+                # unpickle.
                 raw_model = pickle.dumps(
                     model.scoring_clone(),
                     protocol=pickle.HIGHEST_PROTOCOL,
@@ -887,57 +887,29 @@ class MiningEngine:
                             pass
                 model_broadcast_bytes = len(raw_model)
                 model_ref = (str(model_path), digest)
-            if supervisor is not None:
-                healer = self._heal_extract(
+            results = dispatcher.run_phase(
+                "extract",
+                [(sid, ExtractTask(
+                    self.config, cache_dir, fingerprint, sid,
+                    tuple(refs),
+                    model=None if model_ref is not None else model,
+                    model_ref=model_ref,
+                    affinity=dispatcher.owner_of(sid),
+                    resident=resident, chaos=chaos,
+                 ))
+                 for sid, refs in extract_tasks],
+                runner=_supervised_extract,
+                splitter=_split_extract,
+                poisoner=self._poison_extract(
+                    merged, unit_sources, cache_dir, fingerprint,
+                    unit_programs,
+                ),
+                validator=_valid_extraction,
+                healer=self._heal_extract(
                     cache_dir, fingerprint, unit_programs, heal_counts,
                     model=model,
-                )
-                payloads = [
-                    (sid, ExtractTask(
-                        self.config, cache_dir, fingerprint, sid,
-                        tuple(refs),
-                        model=None if model_ref is not None else model,
-                        model_ref=model_ref,
-                        affinity=supervisor.owner_of(sid),
-                        resident=resident, chaos=chaos,
-                    ))
-                    for sid, refs in extract_tasks
-                ]
-                results = supervisor.run_phase(
-                    "extract",
-                    payloads,
-                    runner=_supervised_extract,
-                    splitter=_split_extract,
-                    poisoner=self._poison_extract(
-                        merged, unit_sources, cache_dir, fingerprint,
-                        unit_programs,
-                    ),
-                    validator=_valid_extraction,
-                    healer=healer,
-                )
-            else:
-                results = []
-                for sid, refs in extract_tasks:
-                    try:
-                        results.append(_extract_shard(
-                            self.config, sid, refs, model,
-                            cache_dir, fingerprint, bundle_sink,
-                        ))
-                    except CacheEntryVanished as err:
-                        # sequential append runs extract from a
-                        # persistent cache with no supervisor healer:
-                        # restore vanished bundles in place and retry
-                        restored = self._restore_bundles(
-                            err, cache_dir, fingerprint, unit_programs,
-                            heal_counts,
-                        )
-                        if restored is None:
-                            raise
-                        results.append(_extract_shard(
-                            self.config, sid, refs, model,
-                            cache_dir, fingerprint, bundle_sink,
-                            shipped=restored,
-                        ))
+                ),
+            )
             extraction = CandidateExtraction()
             for _, _, shard_extraction in sorted(
                 results, key=lambda r: (r[0], r[1])
@@ -962,44 +934,35 @@ class MiningEngine:
         finally:
             if store is not None:
                 store.close()
-            if supervisor is not None and supervisor is not self.coordinator:
-                supervisor.close()
+            if dispatcher is not self.coordinator:
+                dispatcher.close()
             if spill is not None:
                 shutil.rmtree(spill, ignore_errors=True)
+            # whatever this run left in the caller's registry (refs a
+            # failure never extracted) must not outlive it
+            process_residency().clear()
 
         run = CorpusRunReport(
-            bundles=(
-                [bundle_sink[key] for key, _ in merged.bundle_refs
-                 if key in bundle_sink]
-                if bundle_sink is not None else []
-            ),
-            outcomes=merged.outcomes,
-            manifest=merged.manifest,
+            outcomes=merged.outcomes, manifest=merged.manifest,
         )
         report = self._report(
             jobs, n_shards, merged, t0, t1, t2, t3,
             ledger=ledger, n_evicted=n_evicted, supervised=supervised,
             distributed=distributed,
-            parallel_train=bool(
-                supervised and self.mining.parallel_train
-            ),
+            parallel_train=self.mining.parallel_train,
             cluster=(
                 self.coordinator.stats.to_dict() if distributed else None
             ),
             resident=resident,
-            n_affinity_hits=getattr(supervisor, "affinity_hits", 0),
-            n_affinity_misses=getattr(supervisor, "affinity_misses", 0),
+            n_affinity_hits=dispatcher.affinity_hits,
+            n_affinity_misses=dispatcher.affinity_misses,
             n_cache_repairs=heal_counts["repaired"],
             n_bundles_shipped=heal_counts["shipped"],
             store_generation=store.generation if store is not None else None,
             drift=drift.to_dict() if drift is not None else None,
             cache_dir=budget_dir,
             cache_ephemeral=(spill is not None),
-            dispatch=(
-                supervisor.dispatch.to_dict()
-                if supervisor is not None
-                and hasattr(supervisor, "dispatch") else None
-            ),
+            dispatch=dispatcher.dispatch.to_dict(),
             model_broadcast_bytes=model_broadcast_bytes,
         )
         return LearnedSpecs(
@@ -1166,7 +1129,7 @@ class MiningEngine:
         heal_counts: Dict[str, int],
         model: Optional[EventPairModel] = None,
     ):
-        """Build the extract-phase healer for the scheduler.
+        """Build the extract-phase healer for the dispatcher.
 
         ``heal(payload, err)`` repairs a :class:`CacheEntryVanished`
         failure in the parent: each missing bundle is reloaded from the
@@ -1177,7 +1140,8 @@ class MiningEngine:
         failure (the broadcast model file went away under a worker) is
         healed by re-attaching the model inline.  Returns the repaired
         payload, or None when the failure is not healable — then the
-        ordinary retry/bisect/poison ladder takes over.
+        ordinary retry/bisect/poison ladder takes over (an in-process
+        run re-raises instead).
         """
 
         def heal(payload: ExtractTask, err: BaseException):
@@ -1198,7 +1162,6 @@ class MiningEngine:
             cache = (
                 AnalysisCache(cache_dir, fingerprint) if cache_dir else None
             )
-            missing: List[Tuple[str, str]] = []
             for key, cache_key in err.refs:
                 # fast path: ship the cache's CRC-verified pickle bytes
                 # as-is (wire format of pack_bundle, minus the
@@ -1210,58 +1173,20 @@ class MiningEngine:
                 if raw is not None:
                     shipped[key] = zlib.compress(raw, 6)
                     heal_counts["shipped"] += 1
-                else:
-                    missing.append((key, cache_key))
-            if missing:
-                restored = self._restore_bundles(
-                    CacheEntryVanished(missing, cache_dir),
-                    cache_dir, fingerprint, unit_programs, heal_counts,
-                )
-                if restored is None:
-                    return None
-                for key, bundle in restored.items():
-                    shipped[key] = pack_bundle(bundle)
-            return replace(
-                payload, shipped=tuple(sorted(shipped.items()))
-            )
-
-        return heal
-
-    def _restore_bundles(
-        self,
-        err: CacheEntryVanished,
-        cache_dir: Optional[str],
-        fingerprint: str,
-        unit_programs: Dict[str, Program],
-        heal_counts: Dict[str, int],
-    ) -> Optional[Dict[str, GraphBundle]]:
-        """Reload-or-reanalyse every bundle a vanished-entry error names.
-
-        Shared by the supervised healer (which packs the result onto
-        the retried payload) and the sequential retry path (which hands
-        the bundles to ``_extract_shard`` directly).  Returns None when
-        any ref is unrecoverable.
-        """
-        cache = (
-            AnalysisCache(cache_dir, fingerprint) if cache_dir else None
-        )
-        restored: Dict[str, GraphBundle] = {}
-        for key, cache_key in err.refs:
-            bundle = None
-            if cache is not None and cache_key:
-                bundle = cache.load_bundle_by_key(cache_key)
-            if bundle is not None:
-                heal_counts["shipped"] += 1
-            else:
+                    continue
                 program = unit_programs.get(key)
                 if program is None:
                     return None  # not a unit of this run: unhealable
                 bundle = self._reanalyze(program, key, cache)
                 if bundle is None:
                     return None  # the program no longer analyses
+                shipped[key] = pack_bundle(bundle)
                 heal_counts["repaired"] += 1
-            restored[key] = bundle
-        return restored
+            return replace(
+                payload, shipped=tuple(sorted(shipped.items()))
+            )
+
+        return heal
 
     def _reanalyze(
         self,
@@ -1425,12 +1350,3 @@ class MiningEngine:
             n_sample_hits=total("n_sample_hits"),
         )
 
-
-def learn_sharded(
-    programs: Sequence[Program],
-    config: Optional[PipelineConfig] = None,
-    mining: Optional[MiningConfig] = None,
-    coordinator: Optional["Coordinator"] = None,
-) -> LearnedSpecs:
-    """Convenience wrapper: one-call sharded learning."""
-    return MiningEngine(config, mining, coordinator).learn(programs)

@@ -10,13 +10,18 @@ which, on a healthy run, is always.
 
 :class:`BundleResidency` is a per-process registry that keeps analysed
 bundles in memory, keyed by a *residency group* (pipeline fingerprint +
-shard id) and the program key.  Workers publish into their process
-registry (:func:`process_residency`) during analysis and consume from
-it during extraction; the scheduler routes each shard's extract task to
-the worker that analysed it (worker affinity), so the common case reads
-bundles straight from memory.  The cache stays the fallback for every
-case residency cannot serve: the owning worker died or was replaced,
-bisection re-split the refs, or a speculative copy ran elsewhere.
+shard id) and a *slot key* (:func:`slot_key`): the bundle's content
+address in the analysis cache, so a bundle left behind by an earlier
+run can only ever serve a ref to the same content.  Workers publish
+into their process registry (:func:`process_residency`) during analysis
+and consume from it during extraction; the scheduler routes each
+shard's extract task to the worker that analysed it (worker affinity),
+so the common case reads bundles straight from memory.  An in-process
+(``--jobs 1``) run publishes into and extracts from the calling
+process's registry the same way.  The cache stays the fallback for
+every case residency cannot serve: the owning worker died or was
+replaced, bisection re-split the refs, or a speculative copy ran
+elsewhere.
 
 Residency is an *optimisation layer only*: bundles are still persisted
 to the cache per program during analysis, and extraction output is
@@ -24,10 +29,14 @@ byte-identical whether a bundle came from memory, from disk, or from a
 zlib-packed shipment (:func:`pack_bundle`) attached to a retried task —
 analysis is deterministic and pickling round-trips preserve content.
 
-The registry is bounded (FIFO over publish order): overflowing bundles
-are dropped and silently fall back to the cache.  Extracted groups are
-discarded eagerly, so a long-lived distributed worker does not
-accumulate bundles across runs.
+Long-lived worker processes (pool workers, ``uspec worker`` daemons)
+bound their registry (FIFO over publish order): overflowing bundles
+are dropped and silently fall back to the cache.  The registry of the
+process that calls the engine stays unbounded — an in-process run with
+no cache has nowhere to reload a dropped bundle from — and the engine
+empties it when the run ends.  Extracted bundles are discarded
+eagerly, so a long-lived distributed worker does not accumulate
+bundles across runs.
 """
 
 from __future__ import annotations
@@ -39,8 +48,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.dataset import GraphBundle
 
-#: default registry capacity (bundles, not bytes); overflow drops the
-#: oldest published bundles, which degrade to cache reloads
+#: registry capacity of a long-lived worker process (bundles, not
+#: bytes); overflow drops the oldest published bundles, which degrade
+#: to cache reloads
 DEFAULT_RESIDENT_BUNDLES = 8192
 
 #: zlib level for packed bundle shipments — 6 is the stdlib default
@@ -60,8 +70,21 @@ def residency_group(fingerprint: str, shard_id: int) -> str:
     return f"{fingerprint[:16]}:{shard_id}"
 
 
+def slot_key(key: str, cache_key: Optional[str]) -> str:
+    """The registry slot of one bundle ref within its group.
+
+    The cache's content address when the ref has one: the program key
+    (``index:source``) says nothing about content, so a daemon that
+    outlived its run would otherwise serve an old bundle for a new
+    program that happens to share the key.  Without a cache, every ref
+    was analysed and published in this very run, so the program key is
+    unambiguous.
+    """
+    return cache_key or key
+
+
 class BundleResidency:
-    """A bounded in-memory map of ``(group, program key) → bundle``."""
+    """An optionally bounded map of ``(group, slot key) → bundle``."""
 
     def __init__(
         self, max_bundles: Optional[int] = DEFAULT_RESIDENT_BUNDLES
@@ -121,9 +144,10 @@ class BundleResidency:
                 f"{self.n_dropped} dropped)>")
 
 
-#: the per-process registry: pool workers and ``uspec worker`` daemons
-#: publish during analysis and consume during extraction
-_PROCESS_RESIDENCY = BundleResidency()
+#: the per-process registry: pool workers, ``uspec worker`` daemons
+#: and in-process runs publish during analysis and consume during
+#: extraction (unbounded until a worker entry point bounds it)
+_PROCESS_RESIDENCY = BundleResidency(max_bundles=None)
 
 
 def process_residency() -> BundleResidency:

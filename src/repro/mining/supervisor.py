@@ -69,7 +69,11 @@ from typing import (
     Tuple,
 )
 
-from repro.mining.residency import residency_group
+from repro.mining.residency import (
+    DEFAULT_RESIDENT_BUNDLES,
+    process_residency,
+    residency_group,
+)
 from repro.runtime.errors import (
     WORKER_CRASH,
     WORKER_TIMEOUT,
@@ -380,8 +384,10 @@ def _pool_main(conn) -> None:
     message per entry; ``None`` is the shutdown sentinel.  The process
     persists across jobs *and phases* — that persistence is what keeps
     :func:`repro.mining.residency.process_residency` bundles alive
-    from a shard's analyze task to its extract task.
+    from a shard's analyze task to its extract task — and, because a
+    worker outlives any one run's bookkeeping, its registry is bounded.
     """
+    process_residency().max_bundles = DEFAULT_RESIDENT_BUNDLES
     while True:
         try:
             job = conn.recv()
@@ -425,7 +431,7 @@ class DispatchStats:
 
     Every counter is incremented on the parent side of the pipe, so
     the numbers attribute *supervision overhead* (round trips, frame
-    serialisation, result revalidation, queue scans) separately from
+    serialisation, result revalidation) separately from
     the work the shards themselves do.  Folded into the
     :class:`~repro.mining.partial.MiningReport` as ``dispatch``.
     """
@@ -442,11 +448,8 @@ class DispatchStats:
     #: parent-side pickle/unpickle wall-clock
     seconds_serialize: float = 0.0
     seconds_deserialize: float = 0.0
-    #: result-shape revalidations run vs skipped on the warm batch path
+    #: result-shape revalidations (one per task reply)
     n_validations: int = 0
-    n_validations_skipped: int = 0
-    #: selections that skipped the 3-pass affinity scan outright
-    n_select_fast: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -459,8 +462,6 @@ class DispatchStats:
             "seconds_serialize": round(self.seconds_serialize, 6),
             "seconds_deserialize": round(self.seconds_deserialize, 6),
             "n_validations": self.n_validations,
-            "n_validations_skipped": self.n_validations_skipped,
-            "n_select_fast": self.n_select_fast,
         }
 
 
@@ -892,25 +893,6 @@ class ShardSupervisor(TaskScheduler):
 
     # ------------------------------------------------------------------
 
-    def _pop_first_ready(
-        self, queue: List[_Task], now: float, label: str
-    ) -> Optional[_Task]:
-        """Fast selection: pop the oldest ready task, no affinity scan.
-
-        Valid only when every queued task's affinity is either unset or
-        this worker itself (checked by the caller): then pass 1/2 of
-        :meth:`_select_task` would pick the same task, and pass 3
-        (stealing) can never trigger, so the 3-pass scan is pure
-        overhead.  ``n_select_fast`` counts how often it was skipped.
-        """
-        if not queue or queue[0].ready_at > now:
-            return None
-        task = queue.pop(0)
-        if task.affinity is not None:
-            self.affinity_hits += 1
-        self.dispatch.n_select_fast += 1
-        return task
-
     def _coalesce(
         self, batch: List[_Task], queue: List[_Task], now: float,
         label: str,
@@ -955,16 +937,9 @@ class ShardSupervisor(TaskScheduler):
         for worker in list(self._workers):
             if not worker.idle or not queue:
                 continue
-            # locally the residency `group` token never routes (only
-            # the dist coordinator advertises residency), so the full
-            # scan is needed only when some task is pinned elsewhere
-            if all(t.affinity is None or t.affinity == worker.label
-                   for t in queue):
-                task = self._pop_first_ready(queue, now, worker.label)
-            else:
-                task = self._select_task(
-                    queue, now, label=worker.label, alive=alive,
-                )
+            task = self._select_task(
+                queue, now, label=worker.label, alive=alive,
+            )
             if task is None:
                 break  # nothing ready yet (backoff cooldowns)
             batch = [task]
@@ -1085,9 +1060,9 @@ class ShardSupervisor(TaskScheduler):
             * worker.allowed
         )
         any_ok = False
-        for index, (task, reply) in enumerate(zip(batch, replies)):
+        for task, reply in zip(batch, replies):
             any_ok |= self._settle(
-                task, reply, index, seconds, straggler, worker.label,
+                task, reply, seconds, straggler, worker.label,
                 now, queue, results, splitter, poisoner, validator,
             )
         if any_ok:
@@ -1099,7 +1074,6 @@ class ShardSupervisor(TaskScheduler):
         self,
         task: _Task,
         reply: object,
-        index: int,
         seconds: float,
         straggler: bool,
         label: str,
@@ -1112,23 +1086,13 @@ class ShardSupervisor(TaskScheduler):
     ) -> bool:
         """Fold one task's reply into results/retries; True on OK.
 
-        ``index`` is the task's position in its frame: the first reply
-        of every frame is shape-revalidated, later ones skip the
-        validator on the warm path — they were produced by the same
-        healthy worker in the same round trip, so one validation
-        vouches for the frame (strict mode and chaos runs keep
-        validating every reply).
+        Every ``ok`` reply is shape-revalidated, batched or not: a
+        corrupt frame must fail its own task, never ride along.
         """
         if (isinstance(reply, tuple) and len(reply) == 2
                 and reply[0] == "ok"):
-            if (index == 0 or self.strict
-                    or self.supervision.chaos is not None):
-                self.dispatch.n_validations += 1
-                valid = validator(reply[1])
-            else:
-                self.dispatch.n_validations_skipped += 1
-                valid = True
-            if valid:
+            self.dispatch.n_validations += 1
+            if validator(reply[1]):
                 task.record.attempts.append(AttemptRecord(
                     attempt=task.attempt, outcome=OUTCOME_OK,
                     seconds=seconds, straggler=straggler,
@@ -1207,3 +1171,53 @@ class ShardSupervisor(TaskScheduler):
                 worker.process.join()
         except Exception:
             pass
+
+
+class InlineDispatcher:
+    """The ``--jobs 1`` dispatcher: phase tasks run in the calling process.
+
+    Same :meth:`run_phase` contract as :class:`ShardSupervisor`, minus
+    everything that needs a second process: each payload runs once, in
+    order, as ``runner(payload, 0)`` — no pool, retries, bisection,
+    deadlines or ledger.  The one recovery it keeps is the healer: a
+    payload the healer repairs (vanished cache bundles) is rerun, and
+    any error it refuses re-raises unchanged, so strict-mode exit codes
+    pass straight through.  Results are not revalidated: nothing
+    crossed a pipe.  The attributes mirror the scheduler's report
+    surface — no task is ever placed, so no affinity is ever counted.
+    """
+
+    def __init__(self) -> None:
+        self.affinity_hits = 0
+        self.affinity_misses = 0
+        self.dispatch = DispatchStats()
+
+    def owner_of(self, shard_id: int) -> Optional[str]:
+        return None
+
+    def run_phase(
+        self,
+        phase: str,
+        tasks: Sequence[Tuple[int, object]],
+        *,
+        runner: Callable,
+        splitter: Callable[[object], Optional[Tuple[object, object]]],
+        poisoner: Callable[[object, str, str], object],
+        validator: Callable[[object], bool],
+        healer: Optional[Callable] = None,
+    ) -> List[object]:
+        results: List[object] = []
+        for _, payload in tasks:
+            while True:
+                try:
+                    results.append(runner(payload, 0))
+                    break
+                except Exception as err:
+                    repaired = healer(payload, err) if healer else None
+                    if repaired is None:
+                        raise
+                    payload = repaired
+        return results
+
+    def close(self) -> None:
+        pass

@@ -5,8 +5,11 @@ kill/resume from the cache under sharding."""
 import json
 import os
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.corpus import (
@@ -14,6 +17,7 @@ from repro.corpus import (
     CorpusGenerator,
     java_registry,
     mine_directory,
+    python_registry,
     save_corpus,
 )
 from repro.ir import ProgramBuilder
@@ -37,7 +41,7 @@ from repro.runtime import (
     SOLVER_CRASH,
 )
 from repro.runtime.executor import ProgramOutcome
-from repro.specs.pipeline import PipelineConfig
+from repro.specs.pipeline import PipelineConfig, USpecPipeline
 from repro.specs.serialize import specs_to_json
 
 
@@ -203,9 +207,10 @@ def test_model_pickle_is_sparse_and_prediction_preserving():
     # megabytes per member; sparse state must stay far below that
     assert len(payload) < 2_000_000
     restored = pickle.loads(payload)
-    graph = learned.run.bundles[0].graph
+    bundle = USpecPipeline().analyze_corpus(programs[:1])[0]
+    graph = bundle.graph
     events = sorted(graph.events, key=repr)[:6]
-    guard = learned.run.bundles[0].guard_index
+    guard = bundle.guard_index
     for e1 in events:
         for e2 in events:
             if e1 is e2:
@@ -241,6 +246,27 @@ def test_shard_count_does_not_change_the_result():
     many = learn(programs, jobs=1, shards=7)
     assert specs_to_json(one.specs, one.scores) == \
         specs_to_json(many.specs, many.scores)
+
+
+@settings(max_examples=6, deadline=None)
+@given(language=st.sampled_from(["java", "python"]),
+       seed=st.integers(min_value=0, max_value=10_000),
+       n_files=st.integers(min_value=1, max_value=20))
+def test_engine_matches_reference_pipeline(language, seed, n_files):
+    """Differential: the in-process engine — uncached, cold cache and
+    warm cache — against the plain reference pipeline."""
+    registry = java_registry() if language == "java" else python_registry()
+    programs = CorpusGenerator(
+        registry, CorpusConfig(n_files=n_files, seed=seed)).programs()
+    reference = USpecPipeline().learn(programs)
+    expected = specs_to_json(reference.specs, reference.scores)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for label, cache in (("uncached", None), ("cold", cache_dir),
+                             ("warm", cache_dir)):
+            learned = learn(programs, jobs=1, cache_dir=cache)
+            assert specs_to_json(learned.specs, learned.scores) == \
+                expected, label
+        assert learned.mining.n_analyzed == 0  # the warm run
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import pickle
 import socket
+import subprocess
+import sys
 import threading
 import zlib
 from pathlib import Path
@@ -34,7 +36,13 @@ from repro.mining.cache import (
     CacheEntryVanished,
     pipeline_fingerprint,
 )
-from repro.mining.engine import ExtractTask, _extract_tag
+from repro.ir import ProgramBuilder
+from repro.mining.engine import (
+    ExtractTask,
+    _analyze_shard,
+    _extract_shard,
+    _extract_tag,
+)
 from repro.mining.residency import (
     BundleResidency,
     pack_bundle,
@@ -43,10 +51,11 @@ from repro.mining.residency import (
     unpack_bundle,
 )
 from repro.mining.supervisor import ShardSupervisor, SupervisionConfig
-from repro.runtime import ChaosPlan, ChaosSpec, RuntimeConfig
+from repro.runtime import Budget, ChaosPlan, ChaosSpec, RuntimeConfig
 from repro.runtime.checkpoint import program_key
+from repro.runtime.errors import BudgetExceeded
 from repro.runtime.faults import CorruptResult
-from repro.specs.pipeline import PipelineConfig
+from repro.specs.pipeline import PipelineConfig, USpecPipeline
 from repro.specs.serialize import specs_to_json
 
 
@@ -137,14 +146,96 @@ def test_residency_group_is_stable_per_run_and_shard():
 
 
 def test_pack_bundle_roundtrip_and_type_check():
-    learned = learn(java_corpus(2))
-    bundle = learned.run.bundles[0]
+    bundle = USpecPipeline().analyze_corpus(java_corpus(2))[0]
     restored = unpack_bundle(pack_bundle(bundle))
     assert type(restored) is type(bundle)
     assert restored.program.source == bundle.program.source
     assert len(restored.graph.events) == len(bundle.graph.events)
     with pytest.raises(TypeError):
         unpack_bundle(zlib.compress(pickle.dumps({"not": "a bundle"})))
+
+
+def extraction_text(extraction):
+    return [(str(spec), extraction.gamma(spec))
+            for spec in extraction.candidates()]
+
+
+def test_stale_resident_bundle_never_answers_for_new_content(tmp_path):
+    """A daemon that outlived its run still holds an old program's
+    bundle in the same group, under the same ``index:source`` program
+    key as a new run's program with different content: the new ref
+    must resolve to its own content, never to the stale bundle."""
+    config = PipelineConfig()
+    fingerprint = pipeline_fingerprint(config)
+    (old,) = java_corpus(1, seed=7)
+    (new,) = java_corpus(1, seed=9)
+    key = program_key(new, 0)
+    assert program_key(old, 0) == key
+    cache_dir = str(tmp_path / "cache")
+    daemon = BundleResidency(max_bundles=None)
+    _analyze_shard(config, 0, [(0, key, old)], cache_dir, fingerprint,
+                   residency=daemon)
+    assert len(daemon) == 1  # the earlier run never extracted it
+    partial = _analyze_shard(config, 0, [(0, key, new)], cache_dir,
+                             fingerprint)
+    model = USpecPipeline(config).learn([new]).model
+    refs = partial.bundle_refs
+    _, _, from_cache = _extract_shard(
+        config, 0, refs, model, cache_dir, fingerprint)
+    _, _, from_daemon = _extract_shard(
+        config, 0, refs, model, cache_dir, fingerprint, residency=daemon)
+    assert extraction_text(from_daemon) == extraction_text(from_cache)
+
+
+def test_inline_run_extracts_resident_and_leaves_no_bundles():
+    programs = java_corpus(6)
+    learned = learn(programs)
+    report = learned.mining
+    assert not report.supervised and report.ledger is None
+    # every bundle came from this process's memory: nothing vanished,
+    # was re-analysed or shipped
+    assert report.n_cache_repairs == 0
+    assert report.n_bundles_shipped == 0
+    assert learned.run.bundles == []
+    assert len(process_residency()) == 0
+
+
+def test_only_worker_entry_points_bound_the_process_registry():
+    # an inline run with no cache cannot reload a dropped bundle, so a
+    # fresh process's registry is unbounded until a worker loop (pool
+    # worker or uspec worker) bounds it; checked in a fresh interpreter
+    # because thread-hosted workers in this one bound the shared one
+    probe = ("from repro.mining.residency import process_residency;"
+             "print(process_residency().max_bundles)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "None"
+
+
+def chain_program(chain=3000, name="chain.java"):
+    pb = ProgramBuilder(source=name)
+    fb = pb.function("main")
+    v = fb.alloc("Api")
+    for _ in range(chain):
+        w = fb.fresh()
+        fb.assign(w, v)
+        v = w
+    fb.call("Api.use", receiver=v, returns=False)
+    pb.add(fb.finish())
+    return pb.finish()
+
+
+def test_strict_inline_failure_leaves_caller_registry_empty():
+    # the healthy programs publish their bundles before the chain blows
+    # the budget; the aborted run must not leave them behind
+    programs = java_corpus(4) + [chain_program()]
+    runtime = RuntimeConfig(
+        strict=True, budget=Budget(max_solver_iterations=500))
+    engine = MiningEngine(PipelineConfig(runtime=runtime), MiningConfig())
+    with pytest.raises(BudgetExceeded):
+        engine.learn(programs)
+    assert len(process_residency()) == 0
 
 
 # ----------------------------------------------------------------------
